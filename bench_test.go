@@ -8,6 +8,7 @@
 package mmt_test
 
 import (
+	"bytes"
 	"testing"
 
 	"mmt"
@@ -174,8 +175,9 @@ func BenchmarkAblations(b *testing.B) {
 }
 
 // BenchmarkDelegation2M measures the full functional path of one 2 MB
-// ownership-transfer delegation — acquire, seal, wire, verify, install —
-// in host time (the simulated cost is Table IV's 437k cycles).
+// ownership-transfer delegation as a user calls it — create the buffer,
+// write 2 MB, seal, wire, verify, install, read the 2 MB back and compare
+// — in host time (the simulated cost is Table IV's 437k cycles).
 func BenchmarkDelegation2M(b *testing.B) {
 	cluster, err := mmt.New(mmt.WithRegions(4))
 	if err != nil {
@@ -195,8 +197,12 @@ func BenchmarkDelegation2M(b *testing.B) {
 	if err != nil {
 		b.Fatal(err)
 	}
-	payload := make([]byte, 1<<20)
-	b.SetBytes(2 << 20)
+	payload := make([]byte, cluster.Geometry().DataSize())
+	for i := range payload {
+		payload[i] = byte(i*7 + i>>11)
+	}
+	b.SetBytes(int64(len(payload)))
+	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		buf, err := link.NewBuffer(sender)
@@ -212,6 +218,13 @@ func BenchmarkDelegation2M(b *testing.B) {
 		got, err := link.Receive(receiver)
 		if err != nil {
 			b.Fatal(err)
+		}
+		data, err := got.Read(0, len(payload))
+		if err != nil {
+			b.Fatal(err)
+		}
+		if !bytes.Equal(data, payload) {
+			b.Fatal("delegated buffer read back differs from the payload")
 		}
 		if err := got.Free(); err != nil {
 			b.Fatal(err)

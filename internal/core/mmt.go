@@ -142,12 +142,13 @@ func (n *Node) RestoreMMT(region int, st State, key crypt.Key, guaddr uint64, mo
 	return m, nil
 }
 
-// Read decrypts one line of the MMT's region (verifying the path).
-func (m *MMT) Read(line int) ([]byte, error) {
+// ReadInto verifies the path to line and decrypts it into dst
+// (engine.LineSize bytes).
+func (m *MMT) ReadInto(line int, dst []byte) error {
 	if m.state != StateValid && m.state != StateSending {
-		return nil, fmt.Errorf("%w: read in state %v", ErrState, m.state)
+		return fmt.Errorf("%w: read in state %v", ErrState, m.state)
 	}
-	return m.node.ctl.Read(m.region, line)
+	return m.node.ctl.ReadInto(m.region, line, dst)
 }
 
 // Write encrypts one line into the MMT's region (updating the tree).
@@ -161,32 +162,77 @@ func (m *MMT) Write(line int, plaintext []byte) error {
 	return m.node.ctl.Write(m.region, line, plaintext)
 }
 
+// ReadSpan verifies and decrypts len(dst) bytes of the region starting at
+// byte offset off into dst. Whole lines decrypt straight into dst; a
+// partial line at either end stages through one stack line.
+func (m *MMT) ReadSpan(dst []byte, off int) error {
+	for len(dst) > 0 {
+		line, lo := off/engine.LineSize, off%engine.LineSize
+		if lo == 0 && len(dst) >= engine.LineSize {
+			if err := m.ReadInto(line, dst[:engine.LineSize]); err != nil {
+				return err
+			}
+			dst, off = dst[engine.LineSize:], off+engine.LineSize
+			continue
+		}
+		var buf [engine.LineSize]byte
+		if err := m.ReadInto(line, buf[:]); err != nil {
+			return err
+		}
+		n := copy(dst, buf[lo:])
+		dst, off = dst[n:], off+n
+	}
+	return nil
+}
+
+// WriteSpan encrypts p into the region starting at byte offset off.
+// Whole lines are written as they are; a partial line at either end is
+// read, patched and rewritten through one stack line.
+func (m *MMT) WriteSpan(p []byte, off int) error {
+	for len(p) > 0 {
+		line, lo := off/engine.LineSize, off%engine.LineSize
+		if lo == 0 && len(p) >= engine.LineSize {
+			if err := m.Write(line, p[:engine.LineSize]); err != nil {
+				return err
+			}
+			p, off = p[engine.LineSize:], off+engine.LineSize
+			continue
+		}
+		var buf [engine.LineSize]byte
+		if err := m.ReadInto(line, buf[:]); err != nil {
+			return err
+		}
+		n := copy(buf[lo:], p)
+		if err := m.Write(line, buf[:]); err != nil {
+			return err
+		}
+		p, off = p[n:], off+n
+	}
+	return nil
+}
+
 // WriteBytes writes a byte span starting at a line boundary, padding the
 // final line with zeros. Convenience for message-passing payloads.
 func (m *MMT) WriteBytes(startLine int, p []byte) error {
-	lines := (len(p) + engine.LineSize - 1) / engine.LineSize
-	for i := 0; i < lines; i++ {
-		line := make([]byte, engine.LineSize)
-		copy(line, p[i*engine.LineSize:])
-		if err := m.Write(startLine+i, line); err != nil {
+	var line [engine.LineSize]byte
+	for i := 0; len(p) > 0; i++ {
+		n := copy(line[:], p)
+		clear(line[n:])
+		if err := m.Write(startLine+i, line[:]); err != nil {
 			return err
 		}
+		p = p[n:]
 	}
 	return nil
 }
 
 // ReadBytes reads n bytes starting at a line boundary.
 func (m *MMT) ReadBytes(startLine, n int) ([]byte, error) {
-	out := make([]byte, 0, n)
-	lines := (n + engine.LineSize - 1) / engine.LineSize
-	for i := 0; i < lines; i++ {
-		line, err := m.Read(startLine + i)
-		if err != nil {
-			return nil, err
-		}
-		out = append(out, line...)
+	out := make([]byte, n)
+	if err := m.ReadSpan(out, startLine*engine.LineSize); err != nil {
+		return nil, err
 	}
-	return out[:n], nil
+	return out, nil
 }
 
 // Reclaim invalidates a valid MMT (valid -> invalid), dropping the key.

@@ -132,7 +132,7 @@ func TestReclaim(t *testing.T) {
 	if m.State() != StateInvalid {
 		t.Fatal("state not invalid after Reclaim")
 	}
-	if _, err := m.Read(0); !errors.Is(err, ErrState) {
+	if err := m.ReadInto(0, make([]byte, engine.LineSize)); !errors.Is(err, ErrState) {
 		t.Fatalf("read after reclaim: %v", err)
 	}
 	// Region is free again.
@@ -157,7 +157,7 @@ func TestDelegationOwnershipTransfer(t *testing.T) {
 		t.Fatal("write allowed while sending")
 	}
 	// Sender can still read (read-only, not disabled).
-	if _, err := sm.Read(0); err != nil {
+	if err := sm.ReadInto(0, make([]byte, engine.LineSize)); err != nil {
 		t.Fatalf("read while sending: %v", err)
 	}
 
@@ -187,7 +187,7 @@ func TestDelegationOwnershipTransfer(t *testing.T) {
 	if sm.State() != StateInvalid {
 		t.Fatalf("sender state after ack = %v", sm.State())
 	}
-	if _, err := sm.Read(0); !errors.Is(err, ErrState) {
+	if err := sm.ReadInto(0, make([]byte, engine.LineSize)); !errors.Is(err, ErrState) {
 		t.Fatal("sender still readable after ownership transfer")
 	}
 }

@@ -188,6 +188,12 @@ func TestNodeMACKAT(t *testing.T) {
 	if gotLine != wantLine {
 		t.Fatalf("LineMAC KAT drifted: got %#x, want %#x", gotLine, wantLine)
 	}
+	if ref := e.RefNodeMAC(0x1000, 1<<24|2, 7, 4, packed); ref != want {
+		t.Fatalf("reference NodeMAC KAT drifted: got %#x, want %#x", ref, want)
+	}
+	if ref := e.RefLineMAC(Tweak{GUAddr: 0x1000, Line: 2, Counter: 7}, ct); ref != wantLine {
+		t.Fatalf("reference LineMAC KAT drifted: got %#x, want %#x", ref, wantLine)
+	}
 }
 
 func TestSealUnsealRoundTrip(t *testing.T) {

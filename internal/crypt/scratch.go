@@ -30,7 +30,10 @@ type Scratch struct {
 	polys     [][]uint64
 }
 
-// tweakBaseInto is tweakBase staged through s; the result lands in s.base.
+// tweakBaseInto encrypts the location half of a tweak — (address, line
+// index, domain) — into s.base. The full tweak space (address, line,
+// counter, lane) exceeds one AES block, so every pad and mask PRF chains
+// two AES calls, CBC-MAC style: a PRF for fixed two-block inputs.
 func (e *Engine) tweakBaseInto(guaddr uint64, line uint32, domain byte, s *Scratch) {
 	in := s.aesIn[:]
 	for i := range in {
@@ -42,7 +45,9 @@ func (e *Engine) tweakBaseInto(guaddr uint64, line uint32, domain byte, s *Scrat
 	e.block.Encrypt(s.base[:], in)
 }
 
-// macMaskBuf is macMask staged through s. Identical output to macMask.
+// macMaskBuf derives the one-time MAC mask for a tweak: AES(base XOR
+// (counter, mask lane)). domain separates data-line MACs from tree-node
+// MACs; the all-ones lane separates masks from pad keystream blocks.
 func (e *Engine) macMaskBuf(tw Tweak, domain byte, s *Scratch) uint64 {
 	e.tweakBaseInto(tw.GUAddr, tw.Line, domain, s)
 	in := s.aesIn[:]
@@ -128,8 +133,7 @@ func (e *Engine) PadLineFromBase(base []byte, counter uint64, s *Scratch) *[Line
 
 // PadLine fills s.pad with the full 64-byte OTP keystream for tw in one
 // shot: all four PRF input blocks are staged first, then encrypted block
-// by block straight into s.pad — no per-block output copies, unlike the
-// incremental pad() path. Identical keystream to pad().
+// by block straight into s.pad — no per-block output copies.
 //mmt:hotpath
 func (e *Engine) PadLine(tw Tweak, s *Scratch) *[LineSize]byte {
 	e.tweakBaseInto(tw.GUAddr, tw.Line, DomainPad, s)
@@ -177,9 +181,8 @@ func (e *Engine) DecryptLineFromBase(base []byte, counter uint64, ct, dst []byte
 	e.EncryptLineFromBase(base, counter, ct, dst, s)
 }
 
-// EncryptLineInto is EncryptLine without the allocation: it XORs line
-// with the OTP for tw into dst. line and dst must be LineSize bytes and
-// may alias (in-place re-encryption).
+// EncryptLineInto XORs line with the OTP for tw into dst. line and dst
+// must be LineSize bytes and may alias (in-place re-encryption).
 //mmt:hotpath
 func (e *Engine) EncryptLineInto(tw Tweak, line, dst []byte, s *Scratch) {
 	if len(line) != LineSize || len(dst) != LineSize {
@@ -230,8 +233,7 @@ func (e *Engine) LineHash(ct []byte, s *Scratch) uint64 {
 	return e.mulx.Eval(words)
 }
 
-// LineMACBuf is LineMAC computed through the caller's scratch buffers
-// instead of fresh slices. Identical output to LineMAC.
+// LineMACBuf is LineMAC staged through the caller's scratch buffers.
 //mmt:hotpath
 func (e *Engine) LineMACBuf(tw Tweak, ct []byte, s *Scratch) uint64 {
 	return e.LineHash(ct, s) ^ e.macMaskBuf(tw, DomainLineMAC, s)
@@ -241,7 +243,7 @@ func (e *Engine) LineMACBuf(tw Tweak, ct []byte, s *Scratch) uint64 {
 // Identical output to NodeMAC.
 //mmt:hotpath
 func (e *Engine) NodeMACBuf(guaddr uint64, nodeID uint32, parentCounter, arity uint64, packed []uint64, s *Scratch) uint64 {
-	h := e.nodeHash(parentCounter, arity, packed)
+	h := e.NodeHash(parentCounter, arity, packed)
 	return h ^ e.macMaskBuf(Tweak{GUAddr: guaddr, Line: nodeID, Counter: parentCounter}, DomainNodeMAC, s)
 }
 

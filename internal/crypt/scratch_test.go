@@ -61,27 +61,31 @@ func TestEncryptLineIntoPanicsOnWrongSize(t *testing.T) {
 	testEngine().EncryptLineInto(Tweak{}, make([]byte, 10), make([]byte, LineSize), &s)
 }
 
-// TestLineMACBufMatchesLineMAC: scratch-buffer MAC equals the allocating one.
+// TestLineMACBufMatchesLineMAC: the scratch-buffer MAC and the composed
+// LineMAC both equal the reference oracle.
 func TestLineMACBufMatchesLineMAC(t *testing.T) {
 	e := testEngine()
 	var s Scratch
 	f := func(guaddr, counter uint64, lineIdx uint32, seed byte) bool {
 		tw := Tweak{GUAddr: guaddr, Line: lineIdx, Counter: counter}
 		ct := e.EncryptLine(tw, line(seed))
-		return e.LineMACBuf(tw, ct, &s) == e.LineMAC(tw, ct)
+		want := e.RefLineMAC(tw, ct)
+		return e.LineMACBuf(tw, ct, &s) == want && e.LineMAC(tw, ct) == want
 	}
 	if err := quick.Check(f, nil); err != nil {
 		t.Fatal(err)
 	}
 }
 
-// TestNodeMACBufMatchesNodeMAC: scratch-buffer node MAC equals NodeMAC.
+// TestNodeMACBufMatchesNodeMAC: the scratch-buffer node MAC and the
+// composed NodeMAC both equal the reference oracle.
 func TestNodeMACBufMatchesNodeMAC(t *testing.T) {
 	e := testEngine()
 	var s Scratch
 	f := func(guaddr, parent uint64, nodeID uint32, arity uint8, packed []uint64) bool {
-		return e.NodeMACBuf(guaddr, nodeID, parent, uint64(arity), packed, &s) ==
-			e.NodeMAC(guaddr, nodeID, parent, uint64(arity), packed)
+		want := e.RefNodeMAC(guaddr, nodeID, parent, uint64(arity), packed)
+		return e.NodeMACBuf(guaddr, nodeID, parent, uint64(arity), packed, &s) == want &&
+			e.NodeMAC(guaddr, nodeID, parent, uint64(arity), packed) == want
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 200}); err != nil {
 		t.Fatal(err)
@@ -105,7 +109,7 @@ func TestNodeMACBatchMatchesNodeMAC(t *testing.T) {
 	for round := 0; round < 3; round++ { // reuse the same scratch
 		e.NodeMACBatch(guaddr, jobs, out, &s)
 		for i, j := range jobs {
-			want := e.NodeMAC(guaddr, j.NodeID, j.ParentCounter, j.Arity, j.Packed)
+			want := e.RefNodeMAC(guaddr, j.NodeID, j.ParentCounter, j.Arity, j.Packed)
 			if out[i] != want {
 				t.Fatalf("round %d job %d: batch %#x, want %#x", round, i, out[i], want)
 			}
@@ -132,7 +136,7 @@ func TestNodeHashBatchMatchesNodeMAC(t *testing.T) {
 		var base [16]byte
 		e.MaskBaseInto(guaddr, j.NodeID, DomainNodeMAC, base[:], &s)
 		mac := out[i] ^ e.MaskFromBase(base[:], j.ParentCounter, &s)
-		want := e.NodeMAC(guaddr, j.NodeID, j.ParentCounter, j.Arity, j.Packed)
+		want := e.RefNodeMAC(guaddr, j.NodeID, j.ParentCounter, j.Arity, j.Packed)
 		if mac != want {
 			t.Fatalf("job %d: hash^mask = %#x, want %#x", i, mac, want)
 		}
@@ -151,7 +155,7 @@ func TestMaskFromBaseMatchesLineMAC(t *testing.T) {
 		var base [16]byte
 		e.MaskBaseInto(guaddr, lineIdx, DomainLineMAC, base[:], &s)
 		got := e.LineHash(ct, &s) ^ e.MaskFromBase(base[:], counter, &s)
-		return got == e.LineMAC(tw, ct)
+		return got == e.RefLineMAC(tw, ct)
 	}
 	if err := quick.Check(f, nil); err != nil {
 		t.Fatal(err)

@@ -16,7 +16,6 @@ import (
 
 	"mmt/internal/attest"
 	"mmt/internal/crypt"
-	"mmt/internal/engine"
 	"mmt/internal/monitor"
 )
 
@@ -138,22 +137,9 @@ func (e *Enclave) Read(va uint64, n int) ([]byte, error) {
 	if mmt == nil {
 		return nil, fmt.Errorf("enclave: PMO %d has no MMT", m.pmo.Cap)
 	}
-	off := int(va - m.va)
-	out := make([]byte, 0, n)
-	for n > 0 {
-		line := off / engine.LineSize
-		lo := off % engine.LineSize
-		data, err := mmt.Read(line)
-		if err != nil {
-			return nil, err
-		}
-		take := engine.LineSize - lo
-		if take > n {
-			take = n
-		}
-		out = append(out, data[lo:lo+take]...)
-		off += take
-		n -= take
+	out := make([]byte, n)
+	if err := mmt.ReadSpan(out, int(va-m.va)); err != nil {
+		return nil, err
 	}
 	return out, nil
 }
@@ -169,32 +155,7 @@ func (e *Enclave) Write(va uint64, p []byte) error {
 	if mmt == nil {
 		return fmt.Errorf("enclave: PMO %d has no MMT", m.pmo.Cap)
 	}
-	off := int(va - m.va)
-	for len(p) > 0 {
-		line := off / engine.LineSize
-		lo := off % engine.LineSize
-		take := engine.LineSize - lo
-		if take > len(p) {
-			take = len(p)
-		}
-		var buf []byte
-		if lo == 0 && take == engine.LineSize {
-			buf = p[:take]
-		} else {
-			cur, err := mmt.Read(line)
-			if err != nil {
-				return err
-			}
-			copy(cur[lo:], p[:take])
-			buf = cur
-		}
-		if err := mmt.Write(line, buf); err != nil {
-			return err
-		}
-		off += take
-		p = p[take:]
-	}
-	return nil
+	return mmt.WriteSpan(p, int(va-m.va))
 }
 
 // CapAt reports the capability mapped at va (for delegation calls).

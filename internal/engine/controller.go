@@ -321,7 +321,10 @@ func (c *Controller) lineAddr(r, line int) mem.Addr {
 
 // Enable turns region r into secure memory under key with the given
 // global-unique address and initial root counter. Existing region contents
-// are treated as plaintext and encrypted in place, line by line.
+// are treated as plaintext and encrypted in place, line by line, through
+// the same scratch kernels and per-line planes as the hot path: each
+// line's tweak bases and MAC mask land in the region's planes, so the
+// sweep allocates nothing per line.
 func (c *Controller) Enable(r int, key crypt.Key, guaddr, rootCounter uint64) error {
 	st := c.region(r)
 	if st.mode != ModeDisabled {
@@ -335,18 +338,16 @@ func (c *Controller) Enable(r int, key crypt.Key, guaddr, rootCounter uint64) er
 	tr.SetTrace(c.probe)
 	tr.SetRootCounter(rootCounter)
 	tr.RehashAll(eng, guaddr)
-	macs := make([]uint64, c.geo.Lines())
-	data := c.mem.RegionData(r)
-	for line := 0; line < c.geo.Lines(); line++ {
-		buf := data[line*mem.LineSize : (line+1)*mem.LineSize]
-		tw := crypt.Tweak{GUAddr: guaddr, Line: uint32(line), Counter: tr.LeafCounter(line)}
-		eng.XORPad(tw, buf)
-		macs[line] = eng.LineMACBuf(tw, buf, &c.scr)
-	}
-	*st = regionState{mode: ModeReadWrite, eng: eng, tr: tr, guaddr: guaddr, lineMACs: macs,
+	*st = regionState{mode: ModeReadWrite, eng: eng, tr: tr, guaddr: guaddr, lineMACs: make([]uint64, c.geo.Lines()),
 		dirtyLines: make([]uint64, (c.geo.Lines()+63)/64)}
 	st.initPlanes(c.geo.Lines())
+	data := c.mem.RegionData(r)
 	for line := range c.geo.Lines() {
+		buf := data[line*mem.LineSize : (line+1)*mem.LineSize]
+		ctr := tr.LeafCounter(line)
+		padBase, macBase := st.lineBases(line, &c.scr)
+		crypt.XORLine(buf, buf, eng.PadLineFromBase(padBase, ctr, &c.scr)[:])
+		st.lineMACs[line] = eng.LineHash(buf, &c.scr) ^ st.lineMaskFor(line, macBase, ctr, &c.scr)
 		st.markLine(line) // freshly encrypted contents have never been checkpointed
 	}
 	c.mem.SetRegionKind(r, mem.KindSecure)
@@ -373,9 +374,10 @@ func (c *Controller) Release(r int) error {
 		return ErrDisabled
 	}
 	data := c.mem.RegionData(r)
-	for line := 0; line < c.geo.Lines(); line++ {
-		tw := crypt.Tweak{GUAddr: st.guaddr, Line: uint32(line), Counter: st.tr.LeafCounter(line)}
-		st.eng.XORPad(tw, data[line*mem.LineSize:(line+1)*mem.LineSize])
+	for line := range c.geo.Lines() {
+		buf := data[line*mem.LineSize : (line+1)*mem.LineSize]
+		padBase, _ := st.lineBases(line, &c.scr)
+		crypt.XORLine(buf, buf, st.linePadFor(line, padBase, st.tr.LeafCounter(line), &c.scr))
 	}
 	c.Invalidate(r)
 	return nil
@@ -494,16 +496,6 @@ const (
 //mmt:hotpath
 func (c *Controller) nodeIndexAt(line, l int) int {
 	return line / c.levelDiv[l]
-}
-
-// Read verifies and decrypts the given line of secure region r into a
-// fresh buffer. The allocation-free variant is ReadInto.
-func (c *Controller) Read(r, line int) ([]byte, error) {
-	out := make([]byte, mem.LineSize)
-	if err := c.ReadInto(r, line, out); err != nil {
-		return nil, err
-	}
-	return out, nil
 }
 
 // ReadInto verifies and decrypts the given line of secure region r into

@@ -69,6 +69,19 @@ type Tree struct {
 	maskOK   []uint64 // bitset, parallel to maskVal
 	maskBase []byte   // 16 B per node
 	baseOK   []uint64 // bitset, parallel to maskBase
+
+	// Node-hash memoization. A node's NodeHash is a pure function of
+	// (engine, arity, parentCounter, counter record), and the arity is
+	// fixed per level. memoCtr holds each node's counter record as of its
+	// last hash, in the ctr plane's layout; memo holds the (hash, parent
+	// counter) pair per node. A lookup hits only when the parent counter
+	// and every record word match the current ones, so a hit is the
+	// bit-identical hash and a tampered counter misses. Stored MACs are not
+	// part of the key: every verification still compares against them.
+	// bind flushes the memo with the mask caches.
+	memoCtr []uint64
+	memo    []uint64 // 2 words per node: hash, parent counter
+	memoOK  []uint64 // bitset, one bit per node
 }
 
 // initPlanes allocates the arena and every per-node plane for t.geo. All
@@ -97,6 +110,9 @@ func (t *Tree) initPlanes() {
 	t.maskOK = make([]uint64, (nodes+63)/64)
 	t.maskBase = make([]byte, nodes*16)
 	t.baseOK = make([]uint64, (nodes+63)/64)
+	t.memoCtr = make([]uint64, words)
+	t.memo = make([]uint64, 2*nodes)
+	t.memoOK = make([]uint64, (nodes+63)/64)
 }
 
 // ctrOff reports the ctr-plane word offset of node (l, i)'s record.
@@ -190,14 +206,26 @@ const verifyAllChunk = 64
 // verify and update paths stay allocation-free. A tree belongs to one
 // goroutine (each parallel work unit builds its own controller and trees),
 // so one scratch per tree suffices.
+//
+// A hash batch has numbered slots (a path's levels, or a VerifyAll
+// chunk's nodes): gather fills want/pcs per slot, serving memo hits at
+// once and queueing misses as jobs; hashPending then hashes the queued
+// jobs in one NodeHashBatch.
 type treeScratch struct {
 	nodeIdx []int              // path node index per level
 	slot    []int              // path slot per level
 	ovf     []bool             // Update overflow markers per level
-	jobs    []crypt.NodeMACJob // batched verify jobs
-	macs    []uint64           // batched verify results
+	jobs    []crypt.NodeMACJob // queued hash jobs (memo misses)
+	pend    []pendingHash      // the node and slot each queued job serves
+	macs    []uint64           // hash batch output, per job
+	want    []uint64           // NodeHash per slot
+	pcs     []uint64           // parent counter per slot
 	cs      crypt.Scratch
 }
+
+// pendingHash names the node a queued hash job belongs to and the batch
+// slot its result fills.
+type pendingHash struct{ slot, level, index int }
 
 // ensureScratch sizes the scratch for the tree's geometry. Cheap after the
 // first call; the length check keys off nodeIdx.
@@ -214,7 +242,10 @@ func (t *Tree) ensureScratch() {
 		batch = verifyAllChunk
 	}
 	t.scr.jobs = make([]crypt.NodeMACJob, batch)
+	t.scr.pend = make([]pendingHash, batch)
 	t.scr.macs = make([]uint64, batch)
+	t.scr.want = make([]uint64, batch)
+	t.scr.pcs = make([]uint64, batch)
 }
 
 // SetTrace attaches a trace probe counting functional node MAC
@@ -349,7 +380,84 @@ func (t *Tree) bind(e *crypt.Engine, guaddr uint64) {
 	for i := range t.baseOK {
 		t.baseOK[i] = 0
 	}
+	for i := range t.memoOK {
+		t.memoOK[i] = 0
+	}
 	t.bindEng, t.bindGU, t.bound = e, guaddr, true
+}
+
+// memoHash returns node (l, i)'s memoised NodeHash at parent counter pc
+// if the memo holds one over exactly the node's current counter record.
+// Callers must have bound the engine first.
+//
+//mmt:hotpath
+func (t *Tree) memoHash(l, i int, pc uint64) (uint64, bool) {
+	idx := t.levelBase[l] + i
+	if t.memoOK[idx>>6]&(uint64(1)<<(uint(idx)&63)) == 0 || t.memo[2*idx+1] != pc {
+		return 0, false
+	}
+	off := t.ctrOff(l, i)
+	end := off + t.ctrStride[l]
+	rec := t.ctr[off:end]
+	for k, w := range t.memoCtr[off:end] {
+		if w != rec[k] {
+			return 0, false
+		}
+	}
+	return t.memo[2*idx], true
+}
+
+// remember records h as node (l, i)'s NodeHash at parent counter pc over
+// its current counter record.
+//
+//mmt:hotpath
+func (t *Tree) remember(l, i int, pc, h uint64) {
+	idx := t.levelBase[l] + i
+	off := t.ctrOff(l, i)
+	copy(t.memoCtr[off:off+t.ctrStride[l]], t.ctr[off:])
+	t.memo[2*idx], t.memo[2*idx+1] = h, pc
+	t.memoOK[idx>>6] |= uint64(1) << (uint(idx) & 63)
+}
+
+// gather puts node (l, i) at parent counter pc into batch slot k: a memo
+// hit fills the slot's hash at once, a miss is queued as job n. It
+// returns the new job count.
+//
+//mmt:hotpath
+func (t *Tree) gather(k, l, i int, pc uint64, n int) int {
+	s := &t.scr
+	s.pcs[k] = pc
+	if h, ok := t.memoHash(l, i, pc); ok {
+		s.want[k] = h
+		return n
+	}
+	s.jobs[n] = t.hashJob(l, i, pc)
+	s.pend[n] = pendingHash{slot: k, level: l, index: i}
+	return n + 1
+}
+
+// hashJob describes node (l, i)'s NodeHash at parent counter pc; the
+// packed counters are the arena sub-slice itself.
+//
+//mmt:hotpath
+func (t *Tree) hashJob(l, i int, pc uint64) crypt.NodeMACJob {
+	return crypt.NodeMACJob{NodeID: nodeID(l, i), ParentCounter: pc, Arity: uint64(t.geo.Arities[l]), Packed: t.packed(l, i)}
+}
+
+// hashPending hashes the n queued jobs in one NodeHashBatch, the Horner
+// chains interleaved, and files each result in the memo and its slot.
+//
+//mmt:hotpath
+func (t *Tree) hashPending(e *crypt.Engine, n int) {
+	if n == 0 {
+		return
+	}
+	s := &t.scr
+	e.NodeHashBatch(s.jobs[:n], s.macs, &s.cs)
+	for j, p := range s.pend[:n] {
+		t.remember(p.level, p.index, s.jobs[j].ParentCounter, s.macs[j])
+		s.want[p.slot] = s.macs[j]
+	}
 }
 
 // nodeMask returns the MAC mask of node (l, i) at parent counter pc,
@@ -376,13 +484,26 @@ func (t *Tree) nodeMask(e *crypt.Engine, guaddr uint64, l, i int, pc uint64) uin
 	return v
 }
 
-// rehashNode recomputes the MAC of node (l, i).
+// rehashNode recomputes the MAC of node (l, i), taking the hash from the
+// memo when the node's inputs are unchanged since it was last hashed.
 func (t *Tree) rehashNode(e *crypt.Engine, guaddr uint64, l, i int) {
-	t.probe.Count(trace.CtrTreeNodeRehashes, 1)
-	t.markDirty(l, i)
 	t.bind(e, guaddr)
 	pc := t.parentCounter(l, i)
-	h := e.NodeHash(pc, uint64(t.geo.Arities[l]), t.packed(l, i))
+	h, ok := t.memoHash(l, i, pc)
+	if !ok {
+		h = e.NodeHash(pc, uint64(t.geo.Arities[l]), t.packed(l, i))
+		t.remember(l, i, pc, h)
+	}
+	t.setMAC(e, guaddr, l, i, pc, h)
+}
+
+// setMAC stores node (l, i)'s MAC from its hash h at parent counter pc
+// and records the rehash: the trace count and the dirty bit.
+//
+//mmt:hotpath
+func (t *Tree) setMAC(e *crypt.Engine, guaddr uint64, l, i int, pc, h uint64) {
+	t.probe.Count(trace.CtrTreeNodeRehashes, 1)
+	t.markDirty(l, i)
 	t.mac[t.levelBase[l]+i] = h ^ t.nodeMask(e, guaddr, l, i, pc)
 }
 
@@ -405,14 +526,16 @@ var ErrIntegrity = errors.New("tree: integrity check failed")
 // counter — the integrity-tree engine's read-path check ("checks hashes
 // stored in tree nodes recursively up to the MMT root", §V-A2).
 //
-// The expected MACs of the whole path are computed in one
-// crypt.NodeHashBatch (the batched GF Horner kernel over the arena
-// sub-slices, no copying) plus cached per-node masks before any
-// comparison; computing a MAC is pure, so doing the upper levels' work
-// eagerly cannot change behaviour. Comparisons — and the per-node verify
-// trace counts — then run leaf to root exactly like the serial loop,
-// stopping at the first mismatch, so traces and errors are identical to
-// the unbatched implementation in both success and failure.
+// The node hashes of the whole path are gathered before any comparison:
+// memo hits directly, misses in one crypt.NodeHashBatch (the batched GF
+// Horner kernel over the arena sub-slices, no copying). Computing a hash
+// is pure, so doing the upper levels' work eagerly cannot change
+// behaviour. Comparisons against the stored MACs — and the per-node
+// verify trace counts — then run leaf to root exactly like the serial
+// loop, stopping at the first mismatch, so traces and errors are
+// identical to the unbatched, unmemoised implementation in both success
+// and failure.
+//
 //mmt:hotpath
 func (t *Tree) VerifyPath(e *crypt.Engine, guaddr uint64, line int) error {
 	//mmt:allow noalloc: scratch grows once per geometry change, then steady-state reuse
@@ -421,23 +544,15 @@ func (t *Tree) VerifyPath(e *crypt.Engine, guaddr uint64, line int) error {
 	s := &t.scr
 	t.geo.pathInto(line, s.nodeIdx, s.slot)
 	L := t.geo.Levels()
-	jobs := s.jobs[:L]
+	n := 0
 	for l := 0; l < L; l++ {
-		i := s.nodeIdx[l]
-		jobs[l] = crypt.NodeMACJob{
-			NodeID:        nodeID(l, i),
-			ParentCounter: t.parentCounter(l, i),
-			Arity:         uint64(t.geo.Arities[l]),
-			Packed:        t.packed(l, i),
-		}
+		n = t.gather(l, l, s.nodeIdx[l], t.parentCounter(l, s.nodeIdx[l]), n)
 	}
-	e.NodeHashBatch(jobs, s.macs, &s.cs)
-	for l := 0; l < L; l++ {
-		s.macs[l] ^= t.nodeMask(e, guaddr, l, s.nodeIdx[l], jobs[l].ParentCounter)
-	}
+	t.hashPending(e, n)
 	for l := L - 1; l >= 0; l-- {
 		t.probe.Count(trace.CtrTreeNodeVerifies, 1)
-		if !crypt.TagEqual(t.mac[t.levelBase[l]+s.nodeIdx[l]], s.macs[l]) {
+		want := s.want[l] ^ t.nodeMask(e, guaddr, l, s.nodeIdx[l], s.pcs[l])
+		if !crypt.TagEqual(t.mac[t.levelBase[l]+s.nodeIdx[l]], want) {
 			t.probe.Count(trace.CtrTreeNodeVerifyFails, 1)
 			return fmt.Errorf("%w: node level %d index %d", ErrIntegrity, l, s.nodeIdx[l])
 		}
@@ -448,8 +563,9 @@ func (t *Tree) VerifyPath(e *crypt.Engine, guaddr uint64, line int) error {
 // VerifyAll checks every node MAC; the closure-delegation engine runs this
 // after unsealing a transferred root. Each level is verified in hash
 // batches of up to verifyAllChunk nodes — a whole level shares one pass of
-// lock-step Horner chains — with comparisons, trace counts and first-error
-// semantics identical to the old per-node walk in (level, index) order.
+// lock-step Horner chains, memo hits skipping theirs — with comparisons,
+// trace counts and first-error semantics identical to the old per-node
+// walk in (level, index) order.
 func (t *Tree) VerifyAll(e *crypt.Engine, guaddr uint64) error {
 	t.ensureScratch()
 	t.bind(e, guaddr)
@@ -457,23 +573,15 @@ func (t *Tree) VerifyAll(e *crypt.Engine, guaddr uint64) error {
 	for l := 0; l < t.geo.Levels(); l++ {
 		n := t.geo.NodesAtLevel(l)
 		for start := 0; start < n; start += verifyAllChunk {
-			end := start + verifyAllChunk
-			if end > n {
-				end = n
-			}
-			jobs := s.jobs[:end-start]
+			end := min(start+verifyAllChunk, n)
+			jobs := 0
 			for i := start; i < end; i++ {
-				jobs[i-start] = crypt.NodeMACJob{
-					NodeID:        nodeID(l, i),
-					ParentCounter: t.parentCounter(l, i),
-					Arity:         uint64(t.geo.Arities[l]),
-					Packed:        t.packed(l, i),
-				}
+				jobs = t.gather(i-start, l, i, t.parentCounter(l, i), jobs)
 			}
-			e.NodeHashBatch(jobs, s.macs, &s.cs)
+			t.hashPending(e, jobs)
 			for i := start; i < end; i++ {
 				t.probe.Count(trace.CtrTreeNodeVerifies, 1)
-				want := s.macs[i-start] ^ t.nodeMask(e, guaddr, l, i, jobs[i-start].ParentCounter)
+				want := s.want[i-start] ^ t.nodeMask(e, guaddr, l, i, s.pcs[i-start])
 				if !crypt.TagEqual(t.mac[t.levelBase[l]+i], want) {
 					t.probe.Count(trace.CtrTreeNodeVerifyFails, 1)
 					return fmt.Errorf("%w: node level %d index %d", ErrIntegrity, l, i)
@@ -502,11 +610,14 @@ type UpdateResult struct {
 // Update increments the counters along line's path — leaf slot, every
 // interior slot, and the root counter — handling local-counter overflow,
 // then recomputes the affected node MACs. This is the write path of the
-// integrity tree engine.
+// integrity tree engine. Every counter is final before any rehash, so the
+// path's node hashes are independent and run as one NodeHashBatch.
+//
 //mmt:hotpath
 func (t *Tree) Update(e *crypt.Engine, guaddr uint64, line int) UpdateResult {
 	//mmt:allow noalloc: scratch grows once per geometry change, then steady-state reuse
 	t.ensureScratch()
+	t.bind(e, guaddr)
 	nodeIdx, slot := t.scr.nodeIdx, t.scr.slot
 	t.geo.pathInto(line, nodeIdx, slot)
 	L := t.geo.Levels()
@@ -543,8 +654,18 @@ func (t *Tree) Update(e *crypt.Engine, guaddr uint64, line int) UpdateResult {
 	// counters changed). An overflow at level l additionally invalidates
 	// the MACs of all children of the overflowed node (their parent
 	// counters were reset), and a leaf overflow forces data re-encryption.
+	// The bump changed every path record, so the memo is not consulted:
+	// hash the whole path in one batch and file the results for the reads
+	// that follow.
+	jobs := t.scr.jobs[:L]
 	for l := 0; l < L; l++ {
-		t.rehashNode(e, guaddr, l, nodeIdx[l])
+		jobs[l] = t.hashJob(l, nodeIdx[l], t.parentCounter(l, nodeIdx[l]))
+	}
+	e.NodeHashBatch(jobs, t.scr.macs, &t.scr.cs)
+	for l := 0; l < L; l++ {
+		pc, h := jobs[l].ParentCounter, t.scr.macs[l]
+		t.remember(l, nodeIdx[l], pc, h)
+		t.setMAC(e, guaddr, l, nodeIdx[l], pc, h)
 		res.NodesTouched++
 		if !overflowAt[l] {
 			continue

@@ -4,7 +4,6 @@ import (
 	"errors"
 	"fmt"
 
-	"mmt/internal/engine"
 	"mmt/internal/monitor"
 )
 
@@ -149,7 +148,7 @@ func (b *Buffer) mmtOf() (*monitor.PMO, error) {
 }
 
 // Write stores p at byte offset off, read-modify-writing partial lines
-// through the protection engine.
+// through the protection engine. It allocates nothing.
 func (b *Buffer) Write(off int, p []byte) error {
 	pmo, err := b.mmtOf()
 	if err != nil {
@@ -162,34 +161,11 @@ func (b *Buffer) Write(off int, p []byte) error {
 	if off < 0 || off+len(p) > b.Size() {
 		return fmt.Errorf("mmt: write [%d,+%d) outside buffer of %d bytes", off, len(p), b.Size())
 	}
-	for len(p) > 0 {
-		line := off / engine.LineSize
-		lo := off % engine.LineSize
-		take := engine.LineSize - lo
-		if take > len(p) {
-			take = len(p)
-		}
-		if lo == 0 && take == engine.LineSize {
-			if err := m.Write(line, p[:take]); err != nil {
-				return err
-			}
-		} else {
-			cur, err := m.Read(line)
-			if err != nil {
-				return err
-			}
-			copy(cur[lo:], p[:take])
-			if err := m.Write(line, cur); err != nil {
-				return err
-			}
-		}
-		off += take
-		p = p[take:]
-	}
-	return nil
+	return m.WriteSpan(p, off)
 }
 
-// Read loads n bytes at byte offset off.
+// Read loads n bytes at byte offset off. Whole lines decrypt straight
+// into the result, its only allocation.
 func (b *Buffer) Read(off, n int) ([]byte, error) {
 	pmo, err := b.mmtOf()
 	if err != nil {
@@ -202,21 +178,9 @@ func (b *Buffer) Read(off, n int) ([]byte, error) {
 	if off < 0 || n < 0 || off+n > b.Size() {
 		return nil, fmt.Errorf("mmt: read [%d,+%d) outside buffer of %d bytes", off, n, b.Size())
 	}
-	out := make([]byte, 0, n)
-	for n > 0 {
-		line := off / engine.LineSize
-		lo := off % engine.LineSize
-		data, err := m.Read(line)
-		if err != nil {
-			return nil, err
-		}
-		take := engine.LineSize - lo
-		if take > n {
-			take = n
-		}
-		out = append(out, data[lo:lo+take]...)
-		off += take
-		n -= take
+	out := make([]byte, n)
+	if err := m.ReadSpan(out, off); err != nil {
+		return nil, err
 	}
 	return out, nil
 }

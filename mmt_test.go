@@ -3,6 +3,8 @@ package mmt
 import (
 	"bytes"
 	"errors"
+	"math"
+	"runtime/debug"
 	"testing"
 
 	"mmt/internal/tree"
@@ -308,4 +310,113 @@ func TestGeometryExposed(t *testing.T) {
 	if c.Geometry().DataSize() != tree.ForLevels(2).DataSize() {
 		t.Fatal("geometry mismatch")
 	}
+}
+
+// linkedBuffer builds a two-machine cluster with the given options and
+// returns its link, sending enclave and one fresh buffer.
+func linkedBuffer(t *testing.T, opts ...Option) (*Link, *Enclave, *Buffer) {
+	t.Helper()
+	c, err := New(opts...)
+	if err != nil {
+		t.Fatal(err)
+	}
+	a, err := c.AddMachine("alice")
+	if err != nil {
+		t.Fatal(err)
+	}
+	b, err := c.AddMachine("bob")
+	if err != nil {
+		t.Fatal(err)
+	}
+	s := a.Spawn("s", nil)
+	link, err := c.Connect(s, b.Spawn("r", nil))
+	if err != nil {
+		t.Fatal(err)
+	}
+	buf, err := link.NewBuffer(s)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return link, s, buf
+}
+
+// TestBufferPathAllocs pins the public bulk line path at the engine's
+// floor: Buffer.Write allocates nothing for whole and partial lines, and
+// Buffer.Read allocates exactly its result for aligned, unaligned and
+// sub-line spans.
+func TestBufferPathAllocs(t *testing.T) {
+	_, _, buf := linkedBuffer(t, WithTreeLevels(2), WithRegions(4))
+	payload := bytes.Repeat([]byte{0x5C}, 8*64)
+	for _, tc := range []struct {
+		name   string
+		off, n int
+	}{
+		{"full lines", 128, 8 * 64},
+		{"partial line", 70, 10},
+		{"unaligned span", 100, 300},
+	} {
+		if allocs := testing.AllocsPerRun(20, func() {
+			if err := buf.Write(tc.off, payload[:tc.n]); err != nil {
+				t.Fatal(err)
+			}
+		}); allocs != 0 {
+			t.Errorf("Write %s: %v allocs, want 0", tc.name, allocs)
+		}
+	}
+	for _, tc := range []struct {
+		name   string
+		off, n int
+	}{
+		{"aligned", 128, 8 * 64},
+		{"unaligned", 100, 300},
+		{"sub-line", 70, 10},
+	} {
+		if allocs := testing.AllocsPerRun(20, func() {
+			if _, err := buf.Read(tc.off, tc.n); err != nil {
+				t.Fatal(err)
+			}
+		}); allocs != 1 {
+			t.Errorf("Read %s: %v allocs, want 1 (the result)", tc.name, allocs)
+		}
+	}
+}
+
+// TestNewBufferAllocsConstant pins buffer creation at a fixed allocation
+// count that does not grow with the protected size: a 2-level and a
+// 3-level tree (64 KB and 2 MB buffers) cost the same. Each count is the
+// least of several calls, and the collector is paused while counting:
+// AllocsPerRun counts the whole process, and a collection cycle or other
+// runtime background work occasionally adds an allocation that is not the
+// buffer's.
+func TestNewBufferAllocsConstant(t *testing.T) {
+	defer debug.SetGCPercent(debug.SetGCPercent(-1))
+	count := func(levels int) float64 {
+		link, s, buf := linkedBuffer(t, WithTreeLevels(levels), WithRegions(4))
+		if err := buf.Free(); err != nil {
+			t.Fatal(err)
+		}
+		least := math.Inf(1)
+		for range 5 {
+			// AllocsPerRun makes one warm-up call and one measured call.
+			bufs := make([]*Buffer, 0, 2)
+			least = min(least, testing.AllocsPerRun(1, func() {
+				b, err := link.NewBuffer(s)
+				if err != nil {
+					t.Fatal(err)
+				}
+				bufs = append(bufs, b)
+			}))
+			for _, b := range bufs {
+				if err := b.Free(); err != nil {
+					t.Fatal(err)
+				}
+			}
+		}
+		return least
+	}
+	small, big := count(2), count(3)
+	if small != big {
+		t.Fatalf("NewBuffer allocations grow with the tree: %v (2 levels) vs %v (3 levels)", small, big)
+	}
+	t.Logf("NewBuffer: %v allocations", small)
 }
