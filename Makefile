@@ -17,10 +17,10 @@ race:
 vet:
 	$(GO) vet ./...
 
-# mmt-vet: the project's own twelve-analyzer suite (simclock,
+# mmt-vet: the project's own ten-analyzer suite (simclock,
 # cryptocompare, checkverify, nopanic, maporder, parclock, eventkind,
-# noalloc, lockorder, phasecharge, tracectx, samplerwindow) plus the
-# //mmt:allow suppression audit. Non-zero exit on any finding.
+# noalloc, lockorder, tracectx) plus the //mmt:allow suppression audit.
+# Non-zero exit on any finding.
 lint:
 	$(GO) run ./cmd/mmt-vet ./...
 
@@ -99,12 +99,15 @@ causal-demo:
 	$(GO) run ./cmd/mmt-tracecheck .bench/causal.json .bench/BENCH_fig11.json
 	$(GO) run ./cmd/mmt-stat .bench/causal.json
 
-# perfdiff: regenerate the benchmark sidecars and diff them against the
-# committed baselines. Soft gate: -warn reports regressions without
-# failing the build; a schema or shape mismatch is always fatal (exit
-# 2), because that means the artifact format drifted, not the numbers.
-# The simulator is deterministic, so on an unchanged tree the diff is
-# exactly zero on every metric.
+# perfdiff: regenerate the benchmark sidecars and gate them against the
+# committed baselines. The fig10/fig11 sidecars are cycle-domain and the
+# simulator is deterministic, so their gate is hard: any byte that
+# differs from testdata/baselines fails the build (cmp). The per-metric
+# perfdiff reports are written first, so a failure ships with the diff
+# that explains it. The wallclock sidecar measures the host, so it keeps
+# the soft gate: -warn reports regressions past 25% without failing. A
+# schema or shape mismatch is always fatal (exit 2), because that means
+# the artifact format drifted, not the numbers.
 perfdiff:
 	mkdir -p .bench/current
 	$(GO) run ./cmd/mmt-bench -fig 10,11 -accesses 2000 -out .bench/current
@@ -112,6 +115,8 @@ perfdiff:
 	$(GO) run ./cmd/mmt-perfdiff -warn -out .bench/perfdiff_fig10.json testdata/baselines/BENCH_fig10.json .bench/current/BENCH_fig10.json
 	$(GO) run ./cmd/mmt-perfdiff -warn -out .bench/perfdiff_fig11.json testdata/baselines/BENCH_fig11.json .bench/current/BENCH_fig11.json
 	$(GO) run ./cmd/mmt-perfdiff -warn -threshold 0.25 -out .bench/perfdiff_wallclock.json testdata/baselines/BENCH_wallclock.json .bench/current/BENCH_wallclock.json
+	cmp testdata/baselines/BENCH_fig10.json .bench/current/BENCH_fig10.json
+	cmp testdata/baselines/BENCH_fig11.json .bench/current/BENCH_fig11.json
 
 # baselines: regenerate every committed benchmark baseline in one step.
 # The figure sidecars are cycle-domain and deterministic — on an unchanged

@@ -1,9 +1,8 @@
 // Command mmt-vet runs the repository's custom static-analysis suite:
-// twelve analyzers (simclock, cryptocompare, checkverify, nopanic,
-// maporder, parclock, eventkind, noalloc, lockorder, phasecharge,
-// tracectx, samplerwindow) that machine-enforce the determinism,
-// crypto-safety and hot-path invariants every figure and security
-// claim depends on. See
+// ten analyzers (simclock, cryptocompare, checkverify, nopanic,
+// maporder, parclock, eventkind, noalloc, lockorder, tracectx) that
+// machine-enforce the determinism, crypto-safety and hot-path
+// invariants every figure and security claim depends on. See
 // internal/analyzers for the invariants and DESIGN.md §11 for the
 // rationale.
 //
@@ -15,8 +14,9 @@
 // Findings print as file:line:col: [analyzer] message; -json emits the
 // byte-stable mmt-vet/v1 document and -sarif a SARIF-lite 2.1.0 log
 // (both to stdout, or to -out with the human lines kept on stdout).
-// Every finding carries a stable diagnostic ID (MMT001…MMT012, MMT900
-// for the suppression audit) so CI baselines survive renames.
+// Every finding carries a stable diagnostic ID (MMT001…MMT011, MMT900
+// for the suppression audit) so CI baselines survive renames. MMT010
+// and MMT012 belonged to retired rules and are never reused.
 //
 // -fix=allow-prune lists stale //mmt:allow comments — suppressions that
 // no longer suppress anything — one file:line per line, ready to feed

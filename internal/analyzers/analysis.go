@@ -21,8 +21,10 @@
 //     across goroutines and breaks the determinism contract.
 //   - eventkind: security-ledger record sites must pass compile-time
 //     constant event kinds, keeping the auditable vocabulary closed.
+//   - tracectx: par.Map/par.ForEach work units must mint their own
+//     causal trace roots rather than use a captured trace.Context.
 //
-// Three analyzers are built on the shared intra-procedural CFG/dataflow
+// Two analyzers are built on the shared intra-procedural CFG/dataflow
 // layer (cfg.go, dataflow.go) and see the whole module at once:
 //
 //   - noalloc: functions annotated //mmt:hotpath — and everything they
@@ -33,10 +35,10 @@
 //   - lockorder: derives the global mutex-acquisition order from every
 //     Lock/RLock pair and flags pairs acquired in inconsistent order,
 //     plus re-acquisition of a mutex already held.
-//   - phasecharge: every sim.Clock.AdvanceCycles charge site must be
-//     mirrored into exactly one trace phase (Probe.AddCycles) on all
-//     CFG paths, making PR 2's charge-mirror contract a compile-time
-//     guarantee.
+//
+// MMT010 (phasecharge) and MMT012 (samplerwindow) are retired and their
+// IDs are never reused: trace.Probe.Charge and SeriesConfig.WindowShift
+// make the mistakes they caught impossible to write.
 //
 // The framework mirrors the golang.org/x/tools/go/analysis API surface
 // (Analyzer, Pass, Diagnostic) but is self-contained: the module has no
@@ -126,8 +128,8 @@ func (p *ModulePass) Reportf(pos token.Pos, format string, args ...any) {
 	p.Report(Diagnostic{Pos: pos, Message: fmt.Sprintf(format, args...)})
 }
 
-// All returns the full mmt-vet suite in stable order. Diagnostic IDs are
-// assigned in this order and are append-only.
+// All returns the full mmt-vet suite in stable (ID) order. IDs are
+// append-only: a retired rule's ID (MMT010, MMT012) is never reused.
 func All() []*Analyzer {
 	return []*Analyzer{
 		SimClock,      // MMT001
@@ -139,9 +141,7 @@ func All() []*Analyzer {
 		EventKind,     // MMT007
 		NoAlloc,       // MMT008
 		LockOrder,     // MMT009
-		PhaseCharge,   // MMT010
 		TraceCtx,      // MMT011
-		SamplerWindow, // MMT012
 	}
 }
 

@@ -1,7 +1,7 @@
 package analyzers
 
 // Intra-procedural control-flow graphs for the dataflow analyzers
-// (noalloc, lockorder, phasecharge). The builder is syntax-directed and
+// (noalloc, lockorder). The builder is syntax-directed and
 // self-contained, mirroring the role golang.org/x/tools/go/cfg plays for
 // upstream analyzers: one funcCFG per function body, blocks holding the
 // statements and control sub-expressions executed in order, edges for

@@ -1,15 +1,9 @@
 package analyzers
 
-// Shared dataflow plumbing for the CFG-based analyzers: string-canonical
-// fact sets with the set algebra the worklist solvers need, expression
+// Shared dataflow plumbing for the CFG-based analyzers: string fact sets
+// with the set algebra the worklist solver needs, expression
 // canonicalisation, and the module-wide function index that lets noalloc
 // and lockorder walk the static call graph across packages.
-//
-// Facts are canonical renderings of Go expressions (printer output), so
-// "the same expression" means "prints the same" — exactly the contract
-// the charge-mirror idiom relies on: the mirrored cost expression and
-// the charged cost expression are textually identical or related by
-// simple local aliasing.
 
 import (
 	"go/ast"
@@ -19,7 +13,7 @@ import (
 	"strings"
 )
 
-// factSet is a set of canonical expression strings.
+// factSet is a set of canonical fact strings.
 type factSet map[string]bool
 
 func (s factSet) clone() factSet {
@@ -42,17 +36,6 @@ func (s factSet) equal(o factSet) bool {
 	return true
 }
 
-// intersect keeps only facts present in both sets.
-func (s factSet) intersect(o factSet) factSet {
-	out := factSet{}
-	for k := range s {
-		if o[k] {
-			out[k] = true
-		}
-	}
-	return out
-}
-
 // union adds o's facts to a copy of s.
 func (s factSet) union(o factSet) factSet {
 	out := s.clone()
@@ -62,13 +45,12 @@ func (s factSet) union(o factSet) factSet {
 	return out
 }
 
-// solveForward runs a forward dataflow over c to fixpoint and returns
-// the converged entry fact set of every reachable block. The transfer
-// function must be pure (analyzers re-run it with reporting enabled
-// after convergence). With must=true the join over predecessors is
-// intersection (a fact holds only if it holds on every path, unvisited
-// predecessors optimistically ignored); with must=false it is union.
-func solveForward(c *funcCFG, must bool, entryIn factSet, transfer func(*cfgBlock, factSet) factSet) map[*cfgBlock]factSet {
+// solveForward runs a forward may-dataflow over c to fixpoint and
+// returns the converged entry fact set of every reachable block: the
+// join over predecessors is union, so a fact holds at a block if it
+// holds on some path reaching it. The transfer function must be pure
+// (analyzers re-run it with reporting enabled after convergence).
+func solveForward(c *funcCFG, entryIn factSet, transfer func(*cfgBlock, factSet) factSet) map[*cfgBlock]factSet {
 	ins := map[*cfgBlock]factSet{c.entry: entryIn}
 	outs := map[*cfgBlock]factSet{}
 	preds := map[*cfgBlock][]*cfgBlock{}
@@ -99,8 +81,6 @@ func solveForward(c *funcCFG, must bool, entryIn factSet, transfer func(*cfgBloc
 				}
 				if joined == nil {
 					joined = po.clone()
-				} else if must {
-					joined = joined.intersect(po)
 				} else {
 					joined = joined.union(po)
 				}
@@ -125,39 +105,6 @@ func canonExpr(fset *token.FileSet, e ast.Expr) string {
 		return ""
 	}
 	return strings.Join(strings.Fields(sb.String()), " ")
-}
-
-// addTerms splits e on top-level + into its summands.
-func addTerms(e ast.Expr) []ast.Expr {
-	e = ast.Unparen(e)
-	if b, ok := e.(*ast.BinaryExpr); ok && b.Op == token.ADD {
-		return append(addTerms(b.X), addTerms(b.Y)...)
-	}
-	return []ast.Expr{e}
-}
-
-// identTokens reports the identifier tokens of a canonical rendering —
-// maximal [A-Za-z0-9_] runs starting with a letter or underscore — used
-// for kill sets: assigning to x invalidates every fact mentioning the
-// identifier x (but not xs or max).
-func identTokens(canon string) map[string]bool {
-	out := map[string]bool{}
-	isWordByte := func(b byte) bool {
-		return b == '_' || (b >= 'a' && b <= 'z') || (b >= 'A' && b <= 'Z') || (b >= '0' && b <= '9')
-	}
-	for i := 0; i < len(canon); {
-		if !isWordByte(canon[i]) || (canon[i] >= '0' && canon[i] <= '9') {
-			i++
-			continue
-		}
-		j := i
-		for j < len(canon) && isWordByte(canon[j]) {
-			j++
-		}
-		out[canon[i:j]] = true
-		i = j
-	}
-	return out
 }
 
 // funcKey identifies a function declaration across packages in a form

@@ -108,7 +108,7 @@ func runLockOrder(pass *ModulePass) error {
 		transfer := func(blk *cfgBlock, in factSet) factSet {
 			return lockTransfer(pass, idx, summaries, f, blk, in, nil)
 		}
-		ins := solveForward(cfg, false, factSet{}, transfer)
+		ins := solveForward(cfg, factSet{}, transfer)
 		// Reporting pass with converged inputs.
 		for _, blk := range cfg.blocks {
 			in, ok := ins[blk]

@@ -47,16 +47,8 @@ func TestLockOrder(t *testing.T) {
 	analysistest.Run(t, analyzers.LockOrder, "lockorder")
 }
 
-func TestPhaseCharge(t *testing.T) {
-	analysistest.Run(t, analyzers.PhaseCharge, "phasecharge")
-}
-
 func TestTraceCtx(t *testing.T) {
 	analysistest.Run(t, analyzers.TraceCtx, "tracectx")
-}
-
-func TestSamplerWindow(t *testing.T) {
-	analysistest.Run(t, analyzers.SamplerWindow, "samplerwindow")
 }
 
 // TestDriverOnRealPackage smoke-tests the go-list driver end to end: the

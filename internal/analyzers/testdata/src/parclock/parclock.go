@@ -20,7 +20,7 @@ func captured(clock *sim.Clock, items []int) ([]sim.Time, error) {
 func capturedValue(items []int) error {
 	var shared sim.Clock
 	return par.ForEach(2, items, func(_ int, it int) error {
-		shared.AdvanceCycles(sim.Cycles(it)) // want "captures sim\.Clock"
+		shared.SyncTo(sim.Time(it)) // want "captures sim\.Clock"
 		return nil
 	})
 }

@@ -158,8 +158,8 @@ func fig11Run(cfg workload.TraceConfig, level, accesses int, sink *trace.Sink) (
 	ctl.ResetStats()
 	pr := sink.Probe(fmt.Sprintf("%s/L%d", cfg.Name, level))
 	ctl.SetTrace(pr)
-	if w, ok := sink.SeriesWindow(); ok {
-		ctl.Clock().SetWindowHook(w, pr.ObserveWindow)
+	if scfg, ok := sink.SeriesConfigured(); ok {
+		ctl.Clock().SetWindowHook(scfg.WindowShift, pr.ObserveWindow)
 	}
 	for i := 0; i < accesses; i++ {
 		line, w := tr.Next()

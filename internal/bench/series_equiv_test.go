@@ -20,7 +20,7 @@ func TestFig11SeriesSerialParallelEquivalence(t *testing.T) {
 		SetWorkers(workers)
 		defer SetWorkers(1)
 		sink := trace.NewSink()
-		if err := sink.EnableSeries(trace.SeriesConfig{WindowCycles: fig11SeriesWindow}); err != nil {
+		if err := sink.EnableSeries(trace.SeriesConfig{WindowShift: fig11SeriesShift}); err != nil {
 			t.Fatal(err)
 		}
 		if _, _, err := fig11Traced(2_000, sink); err != nil {

@@ -330,10 +330,10 @@ func sidecarFig10() (*Sidecar, error) {
 	return sc, nil
 }
 
-// fig11SeriesWindow is the fixed sampling window of the fig11 sidecar
-// run. A constant — never tuned per run — so the committed baseline's
-// series section stays byte-stable, and a power of two (mmt-vet MMT012).
-const fig11SeriesWindow = 1 << 14
+// fig11SeriesShift fixes the sampling window of the fig11 sidecar run
+// at 2^14 cycles. A constant — never tuned per run — so the committed
+// baseline's series section stays byte-stable.
+const fig11SeriesShift = 14
 
 // sidecarFig11 traces the SPEC-like overhead sweep. Each (benchmark,
 // level) cell is its own trace process; the phase sum equals the summed
@@ -352,7 +352,7 @@ func sidecarFig11Run(accesses int) (*Sidecar, *trace.Sink, error) {
 		accesses = 20_000
 	}
 	sink := trace.NewSink()
-	if err := sink.EnableSeries(trace.SeriesConfig{WindowCycles: fig11SeriesWindow}); err != nil {
+	if err := sink.EnableSeries(trace.SeriesConfig{WindowShift: fig11SeriesShift}); err != nil {
 		return nil, nil, err
 	}
 	res, protected, err := fig11Traced(accesses, sink)

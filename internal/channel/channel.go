@@ -69,8 +69,7 @@ func (c *common) SetTrace(p *trace.Probe) { c.probe = p }
 // cost into the trace phase so per-phase totals sum to Stats.Total().
 func (c *common) charge(bucket *sim.Cycles, ph trace.Phase, n sim.Cycles) {
 	*bucket += n
-	c.probe.AddCycles(ph, n)
-	c.ep.Clock().AdvanceCycles(n)
+	c.probe.Charge(c.ep.Clock(), ph, n)
 }
 
 // NonSecure is the unprotected remote-write channel: payload bytes go onto

@@ -459,13 +459,12 @@ func (c *Controller) chargePath(r, line int, extraNodes int) (total, verify sim.
 		macCost += sim.Cycles(extraNodes) * c.prof.MACLatency
 		c.probe.Count(trace.CtrMACUpdates, uint64(extraNodes))
 	}
-	c.probe.AddCycles(trace.PhaseData, dataCost)
-	c.probe.AddCycles(trace.PhaseRootMount, rootCost)
-	c.probe.AddCycles(trace.PhaseTreeWalk, walkCost)
-	c.probe.AddCycles(trace.PhaseMAC, macCost)
-	cost := dataCost + rootCost + walkCost + macCost
+	cost := c.probe.ChargeSplit(c.clock,
+		trace.PhaseCost{Phase: trace.PhaseData, Cycles: dataCost},
+		trace.PhaseCost{Phase: trace.PhaseRootMount, Cycles: rootCost},
+		trace.PhaseCost{Phase: trace.PhaseTreeWalk, Cycles: walkCost},
+		trace.PhaseCost{Phase: trace.PhaseMAC, Cycles: macCost})
 	c.stats.Cycles += cost
-	c.clock.AdvanceCycles(cost)
 	return cost, rootCost + macCost
 }
 
@@ -619,10 +618,9 @@ func (c *Controller) reencryptLine(st *regionState, r, ln int) error {
 	st.markLine(ln)
 	c.stats.ReencryptedLines++
 	c.probe.Count(trace.CtrReencryptLines, 1)
-	c.probe.AddCycles(trace.PhaseReencrypt, c.prof.DRAMAccess+c.prof.AESLatency)
 	c.probe.RecordOp(trace.OpReencrypt, c.prof.DRAMAccess+c.prof.AESLatency)
 	c.stats.Cycles += c.prof.DRAMAccess + c.prof.AESLatency
-	c.clock.AdvanceCycles(c.prof.DRAMAccess + c.prof.AESLatency)
+	c.probe.Charge(c.clock, trace.PhaseReencrypt, c.prof.DRAMAccess+c.prof.AESLatency)
 	return nil
 }
 
@@ -645,10 +643,9 @@ func (c *Controller) Access(r, line int, write bool) {
 	total, verify := c.chargePath(r, line, 0)
 	if write {
 		cost := sim.Cycles(c.geo.Levels()) * writeUpdatePerLevel
-		c.probe.AddCycles(trace.PhaseTreeUpdate, cost)
 		c.probe.Count(trace.CtrMACUpdates, uint64(c.geo.Levels()))
 		c.stats.Cycles += cost
-		c.clock.AdvanceCycles(cost)
+		c.probe.Charge(c.clock, trace.PhaseTreeUpdate, cost)
 		c.recordAccess(trace.OpLocalWrite, total+cost, verify)
 	} else {
 		c.recordAccess(trace.OpLocalRead, total, verify)
@@ -659,9 +656,8 @@ func (c *Controller) Access(r, line int, write bool) {
 // access, no tree traffic. Used as the denominator of Figure 11.
 func (c *Controller) AccessUnprotected() {
 	c.stats.DataAccesses++
-	c.probe.AddCycles(trace.PhaseData, c.prof.DRAMAccess)
 	c.stats.Cycles += c.prof.DRAMAccess
-	c.clock.AdvanceCycles(c.prof.DRAMAccess)
+	c.probe.Charge(c.clock, trace.PhaseData, c.prof.DRAMAccess)
 }
 
 // BumpRootCounter advances region r's root counter by one (the delegation

@@ -290,8 +290,7 @@ func PageRank(cfg Config, g *workload.Graph) (*Result, error) {
 				}
 			}
 			cost := sim.Cycles(float64(len(localEdges[mi])) * cfg.ScatterCyclesPerEdge)
-			m.probe.AddCycles(trace.PhaseApp, cost)
-			m.clock.AdvanceCycles(cost)
+			m.probe.Charge(m.clock, trace.PhaseApp, cost)
 			chargePhase(m, &m.breakdown.Scatter, start)
 		}
 
@@ -348,13 +347,11 @@ func PageRank(cfg Config, g *workload.Graph) (*Result, error) {
 		for mi, m := range machines {
 			start := m.clock.Now()
 			gatherCost := sim.Cycles(float64(msgsPerMachine[mi]) * cfg.GatherCyclesPerMsg)
-			m.probe.AddCycles(trace.PhaseApp, gatherCost)
-			m.clock.AdvanceCycles(gatherCost)
+			m.probe.Charge(m.clock, trace.PhaseApp, gatherCost)
 			chargePhase(m, &m.breakdown.Gather, start)
 			start = m.clock.Now()
 			applyCost := sim.Cycles(float64(verticesPer[mi]) * cfg.ApplyCyclesPerVertex)
-			m.probe.AddCycles(trace.PhaseApp, applyCost)
-			m.clock.AdvanceCycles(applyCost)
+			m.probe.Charge(m.clock, trace.PhaseApp, applyCost)
 			chargePhase(m, &m.breakdown.Apply, start)
 		}
 		if cfg.Epsilon > 0 && delta < cfg.Epsilon {

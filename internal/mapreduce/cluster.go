@@ -308,14 +308,12 @@ func Run(cfg Config, input []byte, mapf Mapper, redf Reducer) (*Result, error) {
 	for i, m := range mappers {
 		mapSpan := m.probe.Begin(trace.PhaseApp, m.clock.Now())
 		mapCost := sim.Cycles(float64(len(chunks[i])) * cfg.MapCyclesPerByte)
-		m.probe.AddCycles(trace.PhaseApp, mapCost)
-		m.clock.AdvanceCycles(mapCost)
+		m.probe.Charge(m.clock, trace.PhaseApp, mapCost)
 		mapSpan.End(m.clock.Now())
 		for j := range reducers {
 			if cfg.Combiner != nil {
 				combineCost := sim.Cycles(float64(mapOuts[i].rawLens[j]) * cfg.ReduceCyclesPerKV / 2)
-				m.probe.AddCycles(trace.PhaseApp, combineCost)
-				m.clock.AdvanceCycles(combineCost)
+				m.probe.Charge(m.clock, trace.PhaseApp, combineCost)
 			}
 			payload := mapOuts[i].payloads[j]
 			res.ShuffleBytes += len(payload)
@@ -372,8 +370,7 @@ func Run(cfg Config, input []byte, mapf Mapper, redf Reducer) (*Result, error) {
 	for j, r := range reducers {
 		redSpan := r.probe.Begin(trace.PhaseApp, r.clock.Now())
 		redCost := sim.Cycles(float64(redOuts[j].pairs) * cfg.ReduceCyclesPerKV)
-		r.probe.AddCycles(trace.PhaseApp, redCost)
-		r.clock.AdvanceCycles(redCost)
+		r.probe.Charge(r.clock, trace.PhaseApp, redCost)
 		redSpan.End(r.clock.Now())
 		for _, k := range redOuts[j].keys {
 			res.Output[k] = redOuts[j].vals[k]

@@ -328,11 +328,12 @@ func (m *Monitor) SendPMO(caller EnclaveID, cap CapID, connID string, mode core.
 	probe.Count(trace.CtrClosuresSent, 1)
 	probe.Count(trace.CtrClosureEncodeBytes, uint64(len(frame)))
 	prof := m.ctl.Profile()
-	probe.AddCycles(trace.PhaseDMA, prof.RemoteWriteCost(len(frame)))
-	probe.AddCycles(trace.PhaseDelegation, prof.DelegationFixed)
-	probe.RecordOp(trace.OpMigrationSend, prof.RemoteWriteCost(len(frame))+prof.DelegationFixed)
-	root.AddCycles(prof.RemoteWriteCost(len(frame)) + prof.DelegationFixed)
-	m.ctl.Clock().AdvanceCycles(prof.RemoteWriteCost(len(frame)) + prof.DelegationFixed)
+	dma := prof.RemoteWriteCost(len(frame))
+	probe.RecordOp(trace.OpMigrationSend, dma+prof.DelegationFixed)
+	root.AddCycles(dma + prof.DelegationFixed)
+	probe.ChargeSplit(m.ctl.Clock(),
+		trace.PhaseCost{Phase: trace.PhaseDMA, Cycles: dma},
+		trace.PhaseCost{Phase: trace.PhaseDelegation, Cycles: prof.DelegationFixed})
 	m.endpoint.SendTraced(c.PeerMonitor, netsim.KindClosure, frame, root.Context())
 	probe.Event(trace.EvMigrationSend, m.ctl.Clock().Now(), p.mmt.GUAddr(), "monitor: closure on wire")
 	if root != nil {
@@ -481,8 +482,7 @@ func (m *Monitor) sendAck(c *Connection, ok bool, guaddr uint64, ctx trace.Conte
 		return 0
 	}
 	cost := m.ctl.Profile().RemoteWriteCost(len(body))
-	m.ctl.Trace().AddCycles(trace.PhaseDelegation, cost)
-	m.ctl.Clock().AdvanceCycles(cost)
+	m.ctl.Trace().Charge(m.ctl.Clock(), trace.PhaseDelegation, cost)
 	m.endpoint.SendTraced(c.PeerMonitor, netsim.KindControl, body, ctx)
 	return cost
 }

@@ -87,16 +87,6 @@ func (c *Clock) Advance(d Time) {
 	}
 }
 
-// AdvanceCycles moves the clock forward by n cycles.
-func (c *Clock) AdvanceCycles(n Cycles) {
-	if n > 0 {
-		c.now += Time(float64(n) / c.Freq())
-		if c.winHook != nil {
-			c.windowTick()
-		}
-	}
-}
-
 // SyncTo moves the clock forward to t if t is later than the current time.
 // It models a blocking receive: the receiver cannot observe a message
 // before the (simulated) instant it arrives.
@@ -131,18 +121,14 @@ func (c *Clock) SetNow(t Time) {
 }
 
 // SetWindowHook installs a sampling hook that fires whenever the clock
-// crosses into a new window of windowCycles simulated cycles. The window
-// size must be a power of two (mmt-vet MMT012 enforces this for
-// constants); other values are rounded up to the next power of two so
-// the window index stays a cheap shift. A nil hook uninstalls sampling.
-func (c *Clock) SetWindowHook(windowCycles uint64, hook func(window uint64)) {
+// crosses into a new window of 2^shift simulated cycles. Taking the
+// exponent rather than a cycle count means a window that is not a power
+// of two cannot be expressed, so the window index stays a cheap shift.
+// A nil hook uninstalls sampling.
+func (c *Clock) SetWindowHook(shift uint, hook func(window uint64)) {
 	if hook == nil {
 		c.winHook = nil
 		return
-	}
-	shift := uint(0)
-	for windowCycles > 1<<shift {
-		shift++
 	}
 	c.winShift = shift
 	c.winHook = hook

@@ -28,9 +28,9 @@ func TestClockAdvance(t *testing.T) {
 	}
 }
 
-func TestClockAdvanceCycles(t *testing.T) {
+func TestClockAdvanceByCycleTime(t *testing.T) {
 	c := NewClock(2e9)
-	c.AdvanceCycles(2e9) // one second of cycles
+	c.Advance(CyclesToTime(2e9, c.Freq())) // one second of cycles
 	if got := float64(c.Now()); math.Abs(got-1) > 1e-12 {
 		t.Fatalf("Now() = %v, want 1s", got)
 	}

@@ -1,6 +1,7 @@
 package sim
 
 import (
+	"errors"
 	"fmt"
 	"math"
 	"sort"
@@ -25,25 +26,36 @@ type CurvePoint struct {
 	PerByte float64 // cost units per byte at that size
 }
 
-// NewCurve builds a curve from anchor points. Points are sorted by size;
-// duplicate sizes and non-positive sizes panic, since curves are
-// constructed from static calibration tables.
-func NewCurve(points ...CurvePoint) *Curve {
+// BuildCurve builds a curve from anchor points. Points are sorted by
+// size; an empty point list, a non-positive size or a duplicate size is
+// an error. Curves decoded from outside input (snapshots) are built
+// here.
+func BuildCurve(points ...CurvePoint) (*Curve, error) {
 	if len(points) == 0 {
-		panic("sim: NewCurve requires at least one point") //mmt:allow nopanic: calibration tables are static package data; an empty curve is a programming error
+		return nil, errors.New("sim: curve needs at least one point")
 	}
 	ps := make([]CurvePoint, len(points))
 	copy(ps, points)
 	sort.Slice(ps, func(i, j int) bool { return ps[i].Size < ps[j].Size })
 	for i, p := range ps {
 		if p.Size <= 0 {
-			panic(fmt.Sprintf("sim: curve point %d has non-positive size %d", i, p.Size)) //mmt:allow nopanic: static calibration table validation at construction time
+			return nil, fmt.Errorf("sim: curve point %d has non-positive size %d", i, p.Size)
 		}
 		if i > 0 && ps[i-1].Size == p.Size {
-			panic(fmt.Sprintf("sim: duplicate curve point at size %d", p.Size)) //mmt:allow nopanic: static calibration table validation at construction time
+			return nil, fmt.Errorf("sim: duplicate curve point at size %d", p.Size)
 		}
 	}
-	return &Curve{points: ps}
+	return &Curve{points: ps}, nil
+}
+
+// NewCurve is BuildCurve for the static calibration tables in this
+// package: invalid points panic.
+func NewCurve(points ...CurvePoint) *Curve {
+	c, err := BuildCurve(points...)
+	if err != nil {
+		panic(err) //mmt:allow nopanic: only the package's static calibration tables call NewCurve; decoded input goes through BuildCurve
+	}
+	return c
 }
 
 // Points returns a copy of the curve's anchor points in size order, for

@@ -44,11 +44,10 @@ const DefaultFlightCap = 16
 
 // SeriesConfig configures the windowed sampler for a Sink.
 type SeriesConfig struct {
-	// WindowCycles is the sampling window in simulated cycles. It must
-	// be a power of two — the window index is a shift of the cycle
-	// count — and mmt-vet rule MMT012 enforces this statically for
-	// constant expressions.
-	WindowCycles uint64
+	// WindowShift sets the sampling window to 2^WindowShift simulated
+	// cycles; the window index is a shift of the cycle count. At most
+	// MaxWindowShift.
+	WindowShift uint
 	// MaxSamples bounds the per-process sample ring; older samples fold
 	// into the evicted aggregate. 0 means DefaultSeriesCap.
 	MaxSamples int
@@ -215,17 +214,20 @@ func (ps *procSeries) samplesOldestFirst() []SeriesSample {
 	return out
 }
 
-// EnableSeries switches on windowed sampling for the sink. The window
-// must be a power of two; it must be called before any machine clock
-// advances (changing the window mid-run would make samples depend on
-// call timing). Calling it again with the same config is a no-op;
-// a different config is an error.
+// MaxWindowShift bounds SeriesConfig.WindowShift: the widest window is
+// 2^63 cycles, the largest power of two a uint64 cycle count can hold.
+const MaxWindowShift = 63
+
+// EnableSeries switches on windowed sampling for the sink. It must be
+// called before any machine clock advances (changing the window mid-run
+// would make samples depend on call timing). Calling it again with the
+// same config is a no-op; a different config is an error.
 func (s *Sink) EnableSeries(cfg SeriesConfig) error {
 	if s == nil {
 		return fmt.Errorf("trace: EnableSeries on a nil sink")
 	}
-	if cfg.WindowCycles == 0 || cfg.WindowCycles&(cfg.WindowCycles-1) != 0 {
-		return fmt.Errorf("trace: series window must be a power of two cycles, got %d", cfg.WindowCycles)
+	if cfg.WindowShift > MaxWindowShift {
+		return fmt.Errorf("trace: series window shift %d exceeds %d", cfg.WindowShift, MaxWindowShift)
 	}
 	if cfg.MaxSamples <= 0 {
 		cfg.MaxSamples = DefaultSeriesCap
@@ -233,8 +235,8 @@ func (s *Sink) EnableSeries(cfg SeriesConfig) error {
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	if s.seriesOn && s.seriesCfg != cfg {
-		return fmt.Errorf("trace: series sampling already enabled (window=%d max=%d)",
-			s.seriesCfg.WindowCycles, s.seriesCfg.MaxSamples)
+		return fmt.Errorf("trace: series sampling already enabled (window=2^%d max=%d)",
+			s.seriesCfg.WindowShift, s.seriesCfg.MaxSamples)
 	}
 	s.seriesOn = true
 	s.seriesCfg = cfg
@@ -250,13 +252,6 @@ func (s *Sink) SeriesConfigured() (SeriesConfig, bool) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	return s.seriesCfg, s.seriesOn
-}
-
-// SeriesWindow reports the sampling window in cycles and whether
-// sampling is enabled — the value to hand to sim.Clock.SetWindowHook.
-func (s *Sink) SeriesWindow() (uint64, bool) {
-	cfg, on := s.SeriesConfigured()
-	return cfg.WindowCycles, on
 }
 
 // ObserveWindow is the sim.Clock window-hook target: the clock calls it
@@ -413,6 +408,7 @@ type ProcSeries struct {
 
 // SeriesView is a copied, immutable snapshot of a sink's series.
 type SeriesView struct {
+	// WindowCycles is the window size, 2^SeriesConfig.WindowShift.
 	WindowCycles uint64
 	MaxSamples   int
 	Procs        []ProcSeries // sorted by process name
@@ -431,7 +427,7 @@ func (s *Sink) SeriesSnapshot() (SeriesView, bool) {
 	if !s.seriesOn {
 		return SeriesView{}, false
 	}
-	v := SeriesView{WindowCycles: s.seriesCfg.WindowCycles, MaxSamples: s.seriesCfg.MaxSamples}
+	v := SeriesView{WindowCycles: 1 << s.seriesCfg.WindowShift, MaxSamples: s.seriesCfg.MaxSamples}
 	for _, pm := range s.procs {
 		var state procSeries
 		if pm.series != nil {

@@ -16,10 +16,10 @@ func driveWindows(clock *sim.Clock, p *Probe, n, stepsPerWindow int, windowCycle
 	for i := 0; i < n*stepsPerWindow; i++ {
 		p.Count(CtrNodeCacheHits, 2)
 		p.Count(CtrMACVerifies, 1)
-		p.AddCycles(PhaseTreeWalk, sim.Cycles(float64(i%7)+0.3))
-		p.AddCycles(PhaseMAC, 11.7)
+		p.addCycles(PhaseTreeWalk, sim.Cycles(float64(i%7)+0.3))
+		p.addCycles(PhaseMAC, 11.7)
 		p.RecordOp(OpLocalRead, sim.Cycles(float64(i%13)+0.1))
-		clock.AdvanceCycles(sim.Cycles(float64(windowCycles) / float64(stepsPerWindow)))
+		clock.Advance(sim.CyclesToTime(sim.Cycles(float64(windowCycles)/float64(stepsPerWindow)), clock.Freq()))
 	}
 }
 
@@ -30,17 +30,17 @@ func driveWindows(clock *sim.Clock, p *Probe, n, stepsPerWindow int, windowCycle
 // old deltas into the base. This is what lets mmt-tracecheck verify
 // series artifacts with ==.
 func TestSeriesDeltaSumExact(t *testing.T) {
-	const window = uint64(1024)
+	const shift = 10
 	s := NewSink()
-	if err := s.EnableSeries(SeriesConfig{WindowCycles: window, MaxSamples: 4}); err != nil {
+	if err := s.EnableSeries(SeriesConfig{WindowShift: shift, MaxSamples: 4}); err != nil {
 		t.Fatal(err)
 	}
 	p := s.Probe("alice")
 	clock := sim.NewClock(1e9)
-	clock.SetWindowHook(window, p.ObserveWindow)
+	clock.SetWindowHook(shift, p.ObserveWindow)
 
 	// 20 windows against a 4-sample ring: most deltas evict into the base.
-	driveWindows(clock, p, 20, 8, window)
+	driveWindows(clock, p, 20, 8, 1<<shift)
 
 	v, ok := s.SeriesSnapshot()
 	if !ok || len(v.Procs) != 1 {
@@ -95,14 +95,14 @@ func TestSeriesDeltaSumExact(t *testing.T) {
 // recorded in its own worker sink, merged serially in input order)
 // export byte-identical mmt-series/v1 documents to a single-sink run.
 func TestSeriesMergeReproducesSerial(t *testing.T) {
-	const window = uint64(512)
-	cfg := SeriesConfig{WindowCycles: window, MaxSamples: 8}
+	const shift = 9
+	cfg := SeriesConfig{WindowShift: shift, MaxSamples: 8}
 	run := func(p *Probe, clock *sim.Clock, seed int) {
 		for i := 0; i < 60; i++ {
 			p.Count(CtrTreeNodeWalks, uint64(seed))
-			p.AddCycles(PhaseData, sim.Cycles(float64((i+seed)%5)+0.9))
+			p.addCycles(PhaseData, sim.Cycles(float64((i+seed)%5)+0.9))
 			p.RecordOp(OpLocalWrite, sim.Cycles(float64(seed)+0.25))
-			clock.AdvanceCycles(150)
+			clock.Advance(sim.CyclesToTime(150, clock.Freq()))
 		}
 	}
 
@@ -113,7 +113,7 @@ func TestSeriesMergeReproducesSerial(t *testing.T) {
 	for seed, name := range []string{"m0", "m1", "m2"} {
 		p := serial.Probe(name)
 		clock := sim.NewClock(1e9)
-		clock.SetWindowHook(window, p.ObserveWindow)
+		clock.SetWindowHook(shift, p.ObserveWindow)
 		run(p, clock, seed+1)
 	}
 
@@ -128,7 +128,7 @@ func TestSeriesMergeReproducesSerial(t *testing.T) {
 		}
 		p := part.Probe(name)
 		clock := sim.NewClock(1e9)
-		clock.SetWindowHook(window, p.ObserveWindow)
+		clock.SetWindowHook(shift, p.ObserveWindow)
 		run(p, clock, seed+1)
 		root.Merge(part)
 	}
@@ -216,9 +216,8 @@ func TestSeriesDisabledZeroAlloc(t *testing.T) {
 	clock := sim.NewClock(1e9)
 	if allocs := testing.AllocsPerRun(1000, func() {
 		p.Count(CtrNodeCacheHits, 1)
-		p.AddCycles(PhaseTreeWalk, 8)
 		p.RecordOp(OpLocalRead, 12)
-		clock.AdvanceCycles(64)
+		p.Charge(clock, PhaseTreeWalk, 64)
 	}); allocs != 0 {
 		t.Fatalf("sampling-disabled hot path allocates %v per op", allocs)
 	}
@@ -229,28 +228,36 @@ func TestSeriesDisabledZeroAlloc(t *testing.T) {
 // depend on call timing otherwise, like SetEventCapacity).
 func TestEnableSeriesValidation(t *testing.T) {
 	s := NewSink()
-	if err := s.EnableSeries(SeriesConfig{WindowCycles: 1000}); err == nil {
-		t.Fatal("non-power-of-two window accepted")
+	if err := s.EnableSeries(SeriesConfig{WindowShift: MaxWindowShift + 1}); err == nil {
+		t.Fatal("window shift past MaxWindowShift accepted")
 	}
-	if err := s.EnableSeries(SeriesConfig{WindowCycles: 0}); err == nil {
-		t.Fatal("zero window accepted")
+	if _, ok := s.SeriesConfigured(); ok {
+		t.Fatal("rejected config switched sampling on")
 	}
 	// Non-positive ring sizes take the default rather than erroring
 	// (the public WithSampling option rejects them eagerly instead).
-	if err := s.EnableSeries(SeriesConfig{WindowCycles: 1 << 12, MaxSamples: -1}); err != nil {
+	if err := s.EnableSeries(SeriesConfig{WindowShift: 12, MaxSamples: -1}); err != nil {
 		t.Fatal(err)
 	}
-	if cfg, ok := s.SeriesConfigured(); !ok || cfg.MaxSamples != DefaultSeriesCap {
+	if cfg, ok := s.SeriesConfigured(); !ok || cfg.MaxSamples != DefaultSeriesCap || cfg.WindowShift != 12 {
 		t.Fatalf("defaulted ring = %+v, %v", cfg, ok)
 	}
-	if err := s.EnableSeries(SeriesConfig{WindowCycles: 1 << 13}); err == nil {
+	if err := s.EnableSeries(SeriesConfig{WindowShift: 13}); err == nil {
 		t.Fatal("reconfiguration with a different window accepted")
 	}
-	if err := s.EnableSeries(SeriesConfig{WindowCycles: 1 << 12}); err != nil {
+	if err := s.EnableSeries(SeriesConfig{WindowShift: 12}); err != nil {
 		t.Fatalf("idempotent re-enable refused: %v", err)
 	}
-	if w, ok := s.SeriesWindow(); !ok || w != 1<<12 {
-		t.Fatalf("SeriesWindow = %d, %v", w, ok)
+	if v, ok := s.SeriesSnapshot(); !ok || v.WindowCycles != 1<<12 {
+		t.Fatalf("SeriesSnapshot window = %d, %v", v.WindowCycles, ok)
+	}
+	// The widest window is accepted and exported as 2^63 cycles.
+	wide := NewSink()
+	if err := wide.EnableSeries(SeriesConfig{WindowShift: MaxWindowShift}); err != nil {
+		t.Fatal(err)
+	}
+	if v, _ := wide.SeriesSnapshot(); v.WindowCycles != 1<<63 {
+		t.Fatalf("widest window exported as %d", v.WindowCycles)
 	}
 	// Disabled sinks export nothing.
 	var buf bytes.Buffer

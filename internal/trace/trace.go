@@ -19,7 +19,7 @@
 // Components obtain a Probe with Sink.Probe(name) and then:
 //
 //	probe.Count(trace.CtrNodeCacheMisses, 1)      // monotonic counter
-//	probe.AddCycles(trace.PhaseMAC, cost)         // per-phase cycle total
+//	probe.Charge(clk, trace.PhaseMAC, cost)       // phase total + clock
 //	sp := probe.Begin(trace.PhaseSend, clk.Now()) // span start
 //	...
 //	sp.End(clk.Now())                             // span end
@@ -46,7 +46,7 @@ import (
 )
 
 // Phase labels one cost category. Phases serve double duty: cycle
-// accumulators (AddCycles) break an experiment's total into the paper's
+// accumulators (Charge) break an experiment's total into the paper's
 // breakdown rows, and spans (Begin/End) carry the same labels into the
 // Chrome-trace timeline.
 type Phase uint8
@@ -403,15 +403,57 @@ func (p *Probe) Count(c Counter, n uint64) {
 	p.sink.mu.Unlock()
 }
 
-// AddCycles adds n simulated cycles to a phase accumulator.
-//mmt:hotpath
-func (p *Probe) AddCycles(ph Phase, n sim.Cycles) {
+// addCycles adds n simulated cycles to a phase accumulator. It is
+// unexported so that a phase can only be credited together with the
+// clock advance it accounts for (Charge, ChargeSplit).
+func (p *Probe) addCycles(ph Phase, n sim.Cycles) {
 	if p == nil || ph >= NumPhases {
 		return
 	}
 	p.sink.mu.Lock()
 	p.proc.cycles[ph] += n
 	p.sink.mu.Unlock()
+}
+
+// Charge spends n simulated cycles: it credits them to phase ph, then
+// advances clk by the same n. Crediting first matters — a sampling
+// window hook fires inside the advance and must see the credit. This
+// and ChargeSplit are the only ways to move a clock by a cycle cost, so
+// per-phase totals and the clock cannot drift apart. On a nil probe the
+// clock still advances.
+//mmt:hotpath
+func (p *Probe) Charge(clk *sim.Clock, ph Phase, n sim.Cycles) {
+	p.addCycles(ph, n)
+	clk.Advance(sim.CyclesToTime(n, clk.Freq()))
+}
+
+// PhaseCost is one phase's share of a ChargeSplit.
+type PhaseCost struct {
+	Phase  Phase
+	Cycles sim.Cycles
+}
+
+// ChargeSplit spends one cost made of several phases' shares: it
+// credits every part to its phase, then advances clk once by the parts
+// summed in argument order, and returns that sum. On a nil probe the
+// clock still advances.
+//mmt:hotpath
+func (p *Probe) ChargeSplit(clk *sim.Clock, parts ...PhaseCost) sim.Cycles {
+	var total sim.Cycles
+	for _, pc := range parts {
+		total += pc.Cycles
+	}
+	if p != nil {
+		p.sink.mu.Lock()
+		for _, pc := range parts {
+			if pc.Phase < NumPhases {
+				p.proc.cycles[pc.Phase] += pc.Cycles
+			}
+		}
+		p.sink.mu.Unlock()
+	}
+	clk.Advance(sim.CyclesToTime(total, clk.Freq()))
+	return total
 }
 
 // Begin opens a span at the given simulated instant. The returned Span

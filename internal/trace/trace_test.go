@@ -20,7 +20,7 @@ func TestNilSafety(t *testing.T) {
 		t.Fatalf("nil probe reports enabled")
 	}
 	p.Count(CtrMACVerifies, 3)
-	p.AddCycles(PhaseMAC, 10)
+	p.addCycles(PhaseMAC, 10)
 	sp := p.Begin(PhaseSend, 1)
 	sp.End(2)
 	p.Span(PhaseRecv, 1, 2)
@@ -48,9 +48,11 @@ func TestNilSafety(t *testing.T) {
 // per-access path unconditionally.
 func TestZeroAllocDisabled(t *testing.T) {
 	var p *Probe
+	clock := sim.NewClock(1e9)
 	allocs := testing.AllocsPerRun(1000, func() {
 		p.Count(CtrNodeCacheHits, 1)
-		p.AddCycles(PhaseTreeWalk, 8)
+		p.Charge(clock, PhaseTreeWalk, 8)
+		p.ChargeSplit(clock, PhaseCost{Phase: PhaseData, Cycles: 3}, PhaseCost{Phase: PhaseMAC, Cycles: 5})
 		p.Begin(PhaseData, 0).End(0)
 	})
 	if allocs != 0 {
@@ -67,9 +69,9 @@ func TestCountersAndCycles(t *testing.T) {
 	a.Count(CtrMACVerifies, 2)
 	a.Count(CtrMACVerifies, 3)
 	b.Count(CtrMACVerifies, 5)
-	a.AddCycles(PhaseMAC, 40)
-	b.AddCycles(PhaseMAC, 8)
-	b.AddCycles(PhaseData, 110)
+	a.addCycles(PhaseMAC, 40)
+	b.addCycles(PhaseMAC, 8)
+	b.addCycles(PhaseData, 110)
 
 	m := s.Snapshot()
 	if got := m.Counter(CtrMACVerifies); got != 10 {
@@ -177,7 +179,7 @@ func TestChromeTraceShape(t *testing.T) {
 func TestSummary(t *testing.T) {
 	s := NewSink()
 	p := s.Probe("alice")
-	p.AddCycles(PhaseMAC, 48)
+	p.addCycles(PhaseMAC, 48)
 	p.Count(CtrMACVerifies, 6)
 	sum := s.Summary()
 	for _, want := range []string{"== alice ==", "mac", "48", "mac-verifies", "6", "TOTAL"} {

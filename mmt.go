@@ -241,8 +241,8 @@ func (c *Cluster) buildMachine(name string, machine *attest.Machine) (*Machine, 
 	ctl.SetTrace(pr)
 	// With sampling on, the machine's clock drives the windowed sampler:
 	// each window crossing snapshots this machine's accumulator deltas.
-	if w, ok := c.set.trace.SeriesWindow(); ok {
-		ctl.Clock().SetWindowHook(w, pr.ObserveWindow)
+	if cfg, ok := c.set.trace.SeriesConfigured(); ok {
+		ctl.Clock().SetWindowHook(cfg.WindowShift, pr.ObserveWindow)
 	}
 	mon := monitor.New(machine, c.measurement, c.authority.PublicKey(), ctl)
 	if err := mon.Boot(c.authority); err != nil {

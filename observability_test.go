@@ -9,6 +9,8 @@ import (
 	"path/filepath"
 	"strings"
 	"testing"
+
+	"mmt/internal/trace"
 )
 
 var updateGolden = flag.Bool("update", false, "rewrite golden files")
@@ -432,6 +434,27 @@ func TestOptionsValidateEagerly(t *testing.T) {
 	}
 	if c.set.regions != 6 || c.set.profile.Name != "gem5" {
 		t.Fatalf("options resolved wrong: %+v", c.set)
+	}
+}
+
+// TestWithSamplingWindowShift: the sampler window is an exponent, so
+// the only invalid value is one past MaxWindowShift, which New rejects;
+// an accepted shift exports 2^shift-cycle windows.
+func TestWithSamplingWindowShift(t *testing.T) {
+	bad := WithSampling(SamplingConfig{WindowShift: trace.MaxWindowShift + 1})
+	if _, err := New(WithTracing(NewTraceSink()), bad); err == nil || !strings.Contains(err.Error(), "window shift 64") {
+		t.Fatalf("out-of-range window shift: got %v", err)
+	}
+	sink := NewTraceSink()
+	c, err := New(WithTreeLevels(2), WithRegions(2), WithTracing(sink), WithSampling(SamplingConfig{WindowShift: 12}))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := c.AddMachine("alice"); err != nil {
+		t.Fatal(err)
+	}
+	if v, ok := sink.SeriesSnapshot(); !ok || v.WindowCycles != 1<<12 {
+		t.Fatalf("series window = %d cycles (sampling on: %v), want 4096", v.WindowCycles, ok)
 	}
 }
 

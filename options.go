@@ -159,15 +159,13 @@ func WithTracing(sink *TraceSink) Option {
 // WithSampling switches on the deterministic time-series sampler for
 // the cluster's trace sink: every machine's clock samples its phase
 // cycles, counters and per-op histogram deltas once per window of
-// windowCycles simulated cycles into a bounded per-machine ring.
-// windowCycles must be a power of two. Requires WithTracing; read the
-// series back via TraceSink.WriteSeriesJSON / SeriesSnapshot, or scrape
-// the OpenMetrics exposition at /debug/mmt/metrics when a debug server
-// is attached. cfg.MaxSamples zero means DefaultSeriesCap.
+// 2^cfg.WindowShift simulated cycles into a bounded per-machine ring.
+// cfg.WindowShift may be at most 63; New rejects a larger one. Requires
+// WithTracing; read the series back via TraceSink.WriteSeriesJSON /
+// SeriesSnapshot, or scrape the OpenMetrics exposition at
+// /debug/mmt/metrics when a debug server is attached. cfg.MaxSamples
+// zero means DefaultSeriesCap.
 func WithSampling(cfg SamplingConfig) Option {
-	if cfg.WindowCycles == 0 || cfg.WindowCycles&(cfg.WindowCycles-1) != 0 {
-		return optionErr(fmt.Errorf("mmt: WithSampling: window of %d cycles is not a power of two", cfg.WindowCycles))
-	}
 	if cfg.MaxSamples < 0 {
 		return optionErr(fmt.Errorf("mmt: WithSampling: negative MaxSamples %d", cfg.MaxSamples))
 	}

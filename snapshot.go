@@ -412,11 +412,12 @@ func decodeProfile(r *snapReader) *sim.Profile {
 	if r.err != nil {
 		return p
 	}
-	if len(pts) == 0 {
-		r.fail("profile has no memcpy curve points")
+	c, err := sim.BuildCurve(pts...)
+	if err != nil {
+		r.fail("profile memcpy curve: %v", err)
 		return p
 	}
-	p.Memcpy = sim.NewCurve(pts...)
+	p.Memcpy = c
 	return p
 }
 

@@ -194,6 +194,55 @@ func TestLoadVerifiesHash(t *testing.T) {
 	}
 }
 
+// TestLoadRejectsBadCurveWithValidTrailer: a crafted snapshot whose
+// memcpy curve repeats a point size, with its SHA-256 trailer recomputed
+// so the hash check passes, must fail Load with ErrBadSnapshot rather
+// than panic in the curve constructor.
+func TestLoadRejectsBadCurveWithValidTrailer(t *testing.T) {
+	c, _ := persistCluster(t)
+	var snap bytes.Buffer
+	if _, err := c.Save(&snap); err != nil {
+		t.Fatal(err)
+	}
+	blob := snap.Bytes()[:snap.Len()-sha256.Size]
+	m, err := decodeModel(blob)
+	if err != nil {
+		t.Fatal(err)
+	}
+	pts := m.profile.Memcpy.Points()
+	if len(pts) < 2 {
+		t.Fatalf("profile memcpy curve has %d points; need two to duplicate one", len(pts))
+	}
+	encodePoints := func(pts []sim.CurvePoint) []byte {
+		w := &snapWriter{}
+		w.u32(uint32(len(pts)))
+		for _, pt := range pts {
+			w.u64(uint64(pt.Size))
+			w.f64(pt.PerByte)
+		}
+		return w.buf
+	}
+	orig := encodePoints(pts)
+	at := bytes.Index(blob, orig)
+	if at < 0 || bytes.Index(blob[at+1:], orig) >= 0 {
+		t.Fatal("encoded memcpy curve not found exactly once in the snapshot")
+	}
+	pts[1].Size = pts[0].Size
+	crafted := append([]byte(nil), blob...)
+	copy(crafted[at:], encodePoints(pts))
+	trailer := sha256.Sum256(crafted)
+	crafted = append(crafted, trailer[:]...)
+
+	defer func() {
+		if r := recover(); r != nil {
+			t.Fatalf("Load panicked on a duplicate curve point: %v", r)
+		}
+	}()
+	if _, err := Load(bytes.NewReader(crafted)); !errors.Is(err, ErrBadSnapshot) {
+		t.Fatalf("duplicate memcpy curve point: want ErrBadSnapshot, got %v", err)
+	}
+}
+
 // TestLoadRejectsStructuralOptions: the snapshot pins the structural
 // settings; passing them to Load (or Open) is a caller error.
 func TestLoadRejectsStructuralOptions(t *testing.T) {
